@@ -13,13 +13,7 @@ The grid is fanned out through :mod:`repro.eval.parallel`:
 * ``--no-cache`` forces every cell to recompute.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
-
-# Allow `from benchmarks...` style helpers if ever needed.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 def pytest_addoption(parser):

@@ -44,6 +44,7 @@ import hashlib
 import os
 import pickle
 import sys
+import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
@@ -120,10 +121,22 @@ class ResultCache:
         return self.root / "jobs"
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
+        # A unique temp name per call: writers in different threads of
+        # one process (the service's job pool) may race on one key.
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     # -- result payloads (JSON) ---------------------------------------
 
@@ -254,7 +267,8 @@ class ResultCache:
             "bundles": 0,
             "bundle_bytes": 0,
         }
-        entries = self._entries()
+        # In-flight or orphaned temp files are not entries.
+        entries = [p for p in self._entries() if p.suffix != ".tmp"]
         results = 0
         setups = 0
         for path in entries:

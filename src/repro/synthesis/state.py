@@ -51,7 +51,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import random
@@ -124,18 +123,13 @@ class Transaction:
         """Keep the mutations made inside this transaction."""
         self.committed = True
 
-    def savepoint(self) -> Union[int, StateSnapshot]:
+    def savepoint(self) -> int:
         """An opaque marker for the current state within the scope."""
-        if self._state.transactional:
-            return len(self._state._undo_log)
-        return self._state.snapshot()
+        return len(self._state._undo_log)
 
-    def rollback_to(self, savepoint: Union[int, StateSnapshot]) -> None:
+    def rollback_to(self, savepoint: int) -> None:
         """Revert every mutation made after ``savepoint``."""
-        if isinstance(savepoint, StateSnapshot):
-            self._state.restore(savepoint)
-        else:
-            self._state._rollback(savepoint)
+        self._state._rollback(savepoint)
 
 
 class SynthesisState:
@@ -190,7 +184,6 @@ class SynthesisState:
         self._adj: Dict[int, Dict[int, int]] = {}
         self._incident: Dict[int, int] = {}
         # Transaction machinery.
-        self.transactional = True
         self._undo_log: List[tuple] = []
         self._txn_depth = 0
         self.txn_reverts = 0
@@ -789,21 +782,8 @@ class SynthesisState:
         :meth:`Transaction.commit` was called.  Scopes nest: committing
         an inner transaction hands its operations to the enclosing one,
         which may still revert them wholesale.
-
-        With :attr:`transactional` set to ``False`` the same scope runs
-        on deep :meth:`snapshot`/:meth:`restore` copies instead — the
-        pre-optimization behavior, kept for A/B benchmarking.
         """
         txn = Transaction(self)
-        if not self.transactional:
-            snap = self.snapshot()
-            try:
-                yield txn
-            finally:
-                if not txn.committed:
-                    self.restore(snap)
-                    self.txn_reverts += 1
-            return
         mark = len(self._undo_log)
         self._txn_depth += 1
         try:
@@ -845,9 +825,9 @@ class SynthesisState:
     def snapshot(self) -> StateSnapshot:
         """Capture the mutable state for later :meth:`restore`.
 
-        Deep-copies O(|state|); the move-evaluation loops use
-        :meth:`transaction` instead and only the last-resort global
-        passes and tests still pay this.
+        Deep-copies O(|state|); synthesis itself reverts through
+        :meth:`transaction`, and the tests use snapshots as the
+        reference a transaction revert must reproduce.
         """
         self._flush_dirty()
         return StateSnapshot(

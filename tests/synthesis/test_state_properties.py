@@ -8,7 +8,8 @@ patterns and operation sequences:
   transaction, the undo-log rewind restores the state a deep snapshot
   captured (routes, pipe contents, estimates, degrees, objective);
 * **memoized coloring is transparent** — ``ColorMemo`` returns exactly
-  what the unmemoized ``Fast_Color`` computes, including on cache hits;
+  what the unmemoized ``Fast_Color`` computes, including on cache hits,
+  and never holds more entries than its ``maxsize``;
 * **preview equals apply** — the preview evaluators
   (``preview_route_change``/``preview_objective``/
   ``preview_local_links``/``preview_move_score``) predict precisely
@@ -144,6 +145,35 @@ def test_memoized_fast_color_equals_unmemoized(pattern_seed, subset_seed):
             assert memo.fast(fwd, bwd) == expected
             assert memo.fast_pair(fwd, bwd) == expected
     assert memo.fast_hits > 0
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pattern_seed=st.sampled_from([0, 1, 2]),
+    subset_seed=st.integers(min_value=0, max_value=500),
+    maxsize=st.integers(min_value=1, max_value=4),
+)
+def test_color_memo_stays_within_maxsize(pattern_seed, subset_seed, maxsize):
+    """The bound holds after every call, whichever direction missed —
+    including a forward miss paired with a backward hit."""
+    pattern = random_permutation_pattern(6, 2, seed=pattern_seed)
+    analysis = CliqueAnalysis.of(pattern)
+    memo = ColorMemo(analysis.max_cliques, maxsize=maxsize)
+    rng = random.Random(subset_seed)
+    comms = sorted(analysis.communications)
+    backward = frozenset(comms[:2])
+    for _ in range(40):
+        fwd = frozenset(rng.sample(comms, rng.randrange(0, len(comms) + 1)))
+        bwd = backward if rng.random() < 0.5 else frozenset(
+            rng.sample(comms, rng.randrange(0, len(comms) + 1))
+        )
+        expected = fast_color(fwd, bwd, analysis.max_cliques)
+        assert memo.fast_pair(fwd, bwd) == expected
+        assert len(memo._fast) <= maxsize
+        assert memo.fast(fwd, bwd) == expected
+        assert len(memo._fast) <= maxsize
+        memo.exact(fwd)
+        assert len(memo._exact) <= maxsize
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

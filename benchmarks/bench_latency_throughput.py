@@ -10,11 +10,8 @@ holds up.  The crossbar bounds everything from below.
 import pytest
 
 from repro.eval import prepare
-from repro.simulator.openloop import (
-    latency_throughput_curve,
-    transpose_pattern,
-    uniform_random,
-)
+from repro.simulator.openloop import latency_throughput_curve
+from repro.sweeps.patterns import transpose_pattern, uniform_random
 from repro.topology import crossbar, mesh
 
 RATES = (0.05, 0.2, 0.4, 0.6)

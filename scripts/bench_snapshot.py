@@ -284,7 +284,8 @@ def _sweep_fanout_case():
     """Suite-level fan-out: the batched grid vs per-pair sweeps.
 
     Times the nightly robustness ``--smoke`` grid (cg at 8 nodes, four
-    topologies, nine patterns) two ways with ``jobs=2``: through
+    topologies, the eight study patterns that run on 8 nodes — transpose
+    needs a square count) two ways with ``jobs=2``: through
     :func:`run_sweep_suite`'s single batched ``run_cells`` call, and
     through the pre-batching reference path — one :func:`run_sweep`
     per (topology, pattern) pair — each cold and again against its own
@@ -303,8 +304,14 @@ def _sweep_fanout_case():
     from repro.sweeps import SweepResult, run_sweep, run_sweep_suite, study_topology
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from robustness_study import STUDY_PATTERNS, STUDY_TOPOLOGIES, _sweep_config
+    from robustness_study import (
+        STUDY_PATTERNS,
+        STUDY_TOPOLOGIES,
+        _sweep_config,
+        runnable_patterns,
+    )
 
+    patterns, _ = runnable_patterns(STUDY_PATTERNS, 8)
     sweep = _sweep_config(smoke=True, seed=0)
     rows = [
         study_topology(kind, 8, benchmark="cg", seed=0)
@@ -319,7 +326,7 @@ def _sweep_fanout_case():
         def per_pair():
             curves = []
             for top_label, topology, link_delays in rows:
-                for pattern in STUDY_PATTERNS:
+                for pattern in patterns:
                     curve = run_sweep(
                         topology,
                         pattern,
@@ -335,7 +342,7 @@ def _sweep_fanout_case():
         def batched():
             return run_sweep_suite(
                 rows,
-                STUDY_PATTERNS,
+                patterns,
                 sweep=sweep,
                 jobs=2,
                 cache=suite_cache,

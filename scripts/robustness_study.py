@@ -14,7 +14,10 @@ Full mode covers every NAS benchmark at 16 and 64 nodes (both valid
 for every benchmark: powers of two for CG/FFT/MG, perfect squares for
 BT/SP); ``--smoke`` runs one benchmark at its paper small size with
 shortened sweep windows — the fast CI gate.  The nightly lane runs
-full mode and uploads the ``--json`` artifact.
+full mode and uploads the ``--json`` artifact.  A pattern whose size
+requirement a node count violates (transpose at 8 nodes) is skipped at
+that count, printed with the reason, and listed under ``"skipped"`` in
+the JSON.
 
 Usage::
 
@@ -49,6 +52,26 @@ STUDY_PATTERNS = (
 STUDY_TOPOLOGIES = ("generated", "generated-spare", "mesh", "torus")
 
 
+def runnable_patterns(patterns, nodes: int):
+    """Split ``patterns`` into those that can run on ``nodes`` and the rest.
+
+    Returns ``(kept, skipped)``: the runnable specs in order, and one
+    ``{"pattern", "nodes", "reason"}`` row per spec whose size
+    requirement ``nodes`` violates (transpose off a square, the bit
+    permutations off a power of two).
+    """
+    from repro.sweeps import size_violation
+
+    kept, skipped = [], []
+    for pattern in patterns:
+        reason = size_violation(pattern, nodes)
+        if reason is None:
+            kept.append(pattern)
+        else:
+            skipped.append({"pattern": pattern, "nodes": nodes, "reason": reason})
+    return tuple(kept), skipped
+
+
 def _sweep_config(smoke: bool, seed: int):
     from repro.sweeps import SweepConfig
 
@@ -67,7 +90,7 @@ def _sweep_config(smoke: bool, seed: int):
 def run_study(
     benchmark: str,
     nodes: int,
-    patterns=STUDY_PATTERNS,
+    patterns=None,
     topologies=STUDY_TOPOLOGIES,
     smoke: bool = False,
     seed: int = 0,
@@ -75,8 +98,15 @@ def run_study(
     cache=None,
     progress=None,
 ):
-    """One benchmark/scale cell of the study, as a ``SweepResult``."""
+    """One benchmark/scale cell of the study, as a ``SweepResult``.
+
+    ``patterns`` defaults to the :data:`STUDY_PATTERNS` that can run on
+    ``nodes``; an explicit list is swept as given.
+    """
     from repro.sweeps import run_sweep_suite, study_topology
+
+    if patterns is None:
+        patterns, _ = runnable_patterns(STUDY_PATTERNS, nodes)
 
     rows = [
         study_topology(kind, nodes, benchmark=benchmark, seed=seed)
@@ -150,6 +180,7 @@ def main() -> int:
     progress = print_progress if args.progress else None
 
     artifacts = []
+    skipped = []
     first = True
     for bench in benchmarks:
         if node_counts is not None:
@@ -159,9 +190,14 @@ def main() -> int:
         else:
             scales = (PAPER_LARGE_SIZE, 4 * PAPER_LARGE_SIZE)
         for nodes in scales:
+            patterns, dropped = runnable_patterns(STUDY_PATTERNS, nodes)
+            for row in dropped:
+                print(f"skipped {row['pattern']} at n={nodes}: {row['reason']}")
+                skipped.append({"benchmark": bench, **row})
             result = run_study(
                 bench,
                 nodes,
+                patterns=patterns,
                 smoke=args.smoke,
                 seed=args.seed,
                 jobs=args.jobs,
@@ -190,6 +226,7 @@ def main() -> int:
             "seed": args.seed,
             "smoke": args.smoke,
             "results": [r.to_dict() for r in artifacts],
+            "skipped": skipped,
         }
         with open(args.json_out, "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))

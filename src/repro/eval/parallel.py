@@ -41,6 +41,7 @@ with golden fixtures.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
 import sys
@@ -138,13 +139,11 @@ class ResultCache:
                 pass
             raise
 
-    # -- result payloads (JSON) ---------------------------------------
+    # -- JSON entries: result payloads and service job bundles ---------
 
-    def get_result(self, key: str) -> Optional[dict]:
-        path = self.results_dir / f"{key}.json"
+    @staticmethod
+    def _read_json(path: Path) -> Optional[dict]:
         try:
-            import json
-
             return json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
@@ -156,35 +155,21 @@ class ResultCache:
                 pass
             return None
 
-    def put_result(self, key: str, payload: dict) -> None:
-        self._atomic_write(
-            self.results_dir / f"{key}.json",
-            canonical_json(payload).encode("utf-8"),
-        )
+    def _write_json(self, path: Path, payload: dict) -> None:
+        self._atomic_write(path, canonical_json(payload).encode("utf-8"))
 
-    # -- service job bundles (JSON) -----------------------------------
+    def get_result(self, key: str) -> Optional[dict]:
+        return self._read_json(self.results_dir / f"{key}.json")
+
+    def put_result(self, key: str, payload: dict) -> None:
+        self._write_json(self.results_dir / f"{key}.json", payload)
 
     def get_bundle(self, key: str) -> Optional[dict]:
         """A completed job's result bundle, or ``None`` on a miss."""
-        path = self.jobs_dir / f"{key}.json"
-        try:
-            import json
-
-            return json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return self._read_json(self.jobs_dir / f"{key}.json")
 
     def put_bundle(self, key: str, bundle: dict) -> None:
-        self._atomic_write(
-            self.jobs_dir / f"{key}.json",
-            canonical_json(bundle).encode("utf-8"),
-        )
+        self._write_json(self.jobs_dir / f"{key}.json", bundle)
 
     # -- benchmark setups (pickle) ------------------------------------
 
@@ -255,8 +240,6 @@ class ResultCache:
         service-job ``bundles`` section enumerate what the totals are
         made of.
         """
-        import json
-
         counts = {
             "eval_results": 0,
             "eval_bytes": 0,

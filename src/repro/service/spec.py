@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SimulationError
 from repro.eval.parallel import (
     PerformanceCell,
     ProgressCallback,
@@ -131,12 +131,25 @@ def _canonical_synthesize(spec: Dict[str, Any]) -> Dict[str, Any]:
         )
         out["portfolio"] = None
     curves = spec.pop("curves", None)
-    out["curves"] = _canonical_curves(curves)
+    out["curves"] = _canonical_curves(curves, out["nodes"])
     _reject_unknown(spec, "synthesize")
     return out
 
 
-def _canonical_curves(curves: Any) -> Optional[Dict[str, Any]]:
+def _canonical_pattern(pattern: str, nodes: int, field: str) -> str:
+    """Canonical pattern spec, rejected unless it can run on ``nodes``."""
+    from repro.sweeps.patterns import canonical_spec, size_violation
+
+    try:
+        spec = canonical_spec(pattern)
+    except SimulationError as exc:
+        raise ServiceError(f"{field!r}: {exc}") from None
+    violation = size_violation(spec, nodes)
+    _require(violation is None, f"{field!r}: {violation}")
+    return spec
+
+
+def _canonical_curves(curves: Any, nodes: int) -> Optional[Dict[str, Any]]:
     """Canonical form of a synthesize job's optional curve request."""
     if curves is None:
         return None
@@ -152,10 +165,10 @@ def _canonical_curves(curves: Any) -> Optional[Dict[str, Any]]:
         f"'curves.patterns' must be a non-empty list of pattern specs, "
         f"got {patterns!r}",
     )
-    from repro.sweeps.patterns import canonical_spec as canonical_pattern
-
     out = {
-        "patterns": [canonical_pattern(p) for p in patterns],
+        "patterns": [
+            _canonical_pattern(p, nodes, "curves.patterns") for p in patterns
+        ],
         "points": _take_int(curves, "points", 4, minimum=1),
         "refine": _take_int(curves, "refine", 2),
         "min_rate": _take_float(curves, "min_rate", 0.05),
@@ -195,8 +208,6 @@ def _canonical_simulate(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _canonical_sweep(spec: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.sweeps.patterns import canonical_spec as canonical_pattern
-
     topology = spec.pop("topology", "mesh")
     _require(
         topology in _SWEEP_TOPOLOGIES,
@@ -216,12 +227,13 @@ def _canonical_sweep(spec: Dict[str, Any]) -> Dict[str, Any]:
         criterion in CRITERIA,
         f"'criterion' must be one of {CRITERIA}, got {criterion!r}",
     )
+    nodes = _take_int(spec, "nodes", 16, minimum=2)
     out = {
         "kind": "sweep",
         "topology": topology,
-        "pattern": canonical_pattern(pattern),
+        "pattern": _canonical_pattern(pattern, nodes, "pattern"),
         "benchmark": benchmark,
-        "nodes": _take_int(spec, "nodes", 16, minimum=2),
+        "nodes": nodes,
         "seed": _take_int(spec, "seed", 0),
         "restarts": _take_int(spec, "restarts", 8, minimum=1),
         "points": _take_int(spec, "points", 6, minimum=1),

@@ -15,7 +15,7 @@ Three layers (see ``docs/SWEEPS.md``):
   CSV/table rendering and the robustness-study degradation table.
 
 ``driver``/``report`` are imported lazily: :mod:`repro.simulator.openloop`
-re-exports the pattern suite from this package, and an eager driver
+imports its default pattern from this package, and an eager driver
 import here would close that cycle back onto a half-initialized
 ``openloop`` module.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from repro.sweeps.patterns import (
     DestinationPattern,
-    PATTERNS,
     adversarial_pattern,
     adversarial_permutation,
     bit_complement_pattern,
@@ -39,6 +38,7 @@ from repro.sweeps.patterns import (
     register_pattern,
     resolve_pattern,
     shuffle_pattern,
+    size_violation,
     tornado_pattern,
     transpose_pattern,
     uniform_random,
@@ -67,7 +67,6 @@ _LAZY = {
 
 __all__ = [
     "DestinationPattern",
-    "PATTERNS",
     "adversarial_pattern",
     "adversarial_permutation",
     "bit_complement_pattern",
@@ -82,6 +81,7 @@ __all__ = [
     "register_pattern",
     "resolve_pattern",
     "shuffle_pattern",
+    "size_violation",
     "tornado_pattern",
     "transpose_pattern",
     "uniform_random",

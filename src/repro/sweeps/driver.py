@@ -43,7 +43,7 @@ from repro.simulator.config import SimConfig
 from repro.simulator.openloop import LoadPoint
 from repro.sweeps.patterns import canonical_spec, resolve_pattern
 from repro.sweeps.report import SaturationCurve, SweepResult
-from repro.topology.builders import Topology, crossbar, mesh_for, torus_for
+from repro.topology import Topology, crossbar, mesh_for, torus_for, torus_link_delays
 from repro.topology.routing import ShortestPathRouting
 
 #: Rates are rounded to this many decimals so bisection midpoints (and
@@ -269,7 +269,6 @@ def run_sweep(
     progress: Optional[ProgressCallback] = None,
     obs: Optional[Observability] = None,
     label: Optional[str] = None,
-    strict_patterns: bool = False,
     premeasured: Optional[Dict[float, LoadPoint]] = None,
 ) -> SaturationCurve:
     """Sweep offered load to saturation on one (topology, pattern) pair.
@@ -293,7 +292,7 @@ def run_sweep(
     spec = canonical_spec(pattern)
     # Validate spec, size requirements, and routing-awareness up front,
     # in the coordinator, so a bad sweep fails before any cell runs.
-    resolve_pattern(spec, topology=topology, strict=strict_patterns)
+    resolve_pattern(spec, topology=topology)
     label = label or topology.name
     flits = config.flits_for(sweep.packet_bytes)
     payload_fraction = (flits - 1) / flits
@@ -409,7 +408,6 @@ def run_sweep_suite(
     progress: Optional[ProgressCallback] = None,
     obs: Optional[Observability] = None,
     label: str = "sweep-suite",
-    strict_patterns: bool = False,
 ) -> SweepResult:
     """Sweep every pattern over every ``(label, topology, link_delays)``.
 
@@ -435,7 +433,7 @@ def run_sweep_suite(
     for top_label, topology, link_delays in topologies:
         for pattern in patterns:
             spec = canonical_spec(pattern)
-            resolve_pattern(spec, topology=topology, strict=strict_patterns)
+            resolve_pattern(spec, topology=topology)
             pairs.append((top_label, topology, link_delays, spec))
 
     cells = [
@@ -467,7 +465,6 @@ def run_sweep_suite(
             progress=progress,
             obs=obs,
             label=top_label,
-            strict_patterns=strict_patterns,
             premeasured=premeasured,
         )
         curves.append((top_label, curve.pattern, curve))
@@ -548,13 +545,7 @@ def study_topology(
         return kind, crossbar(nodes), None
     if kind == "torus":
         top = torus_for(nodes)
-        delays = {}
-        for link in top.network.links:
-            (x1, y1) = top.coords[link.u]
-            (x2, y2) = top.coords[link.v]
-            wrap = abs(x1 - x2) > 1 or abs(y1 - y2) > 1
-            delays[link.link_id] = 2 if wrap else 1
-        return kind, top, delays
+        return kind, top, torus_link_delays(top)
     if kind in ("generated", "generated-spare"):
         from repro.eval.runner import prepare
 

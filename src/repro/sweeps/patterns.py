@@ -7,8 +7,7 @@ the Pareto-optimization and guaranteed-QoS lines of work in PAPERS.md).
 This module provides that suite as composable
 :data:`DestinationPattern` callables plus a registry mapping pattern
 *specs* — strings like ``"tornado"`` or ``"hotspot:3:0.8"`` — to
-resolved callables.  :mod:`repro.simulator.openloop` re-exports the
-primitives for backward compatibility.
+resolved callables.
 
 Pattern contract
 ----------------
@@ -18,10 +17,12 @@ patterns with fixed points instead *fall back to uniform random* on a
 self-map — the offered load is preserved and the behaviour is explicit:
 
 * ``transpose`` needs a square node count, the ``bit_*`` and
-  ``shuffle`` permutations need a power of two.  On an incompatible
-  ``n`` the pattern warns **once** per (pattern, n) and degrades to
-  uniform random; resolving with ``strict=True`` raises
-  :class:`~repro.errors.SimulationError` instead.
+  ``shuffle`` permutations need a power of two.  An incompatible ``n``
+  raises :class:`~repro.errors.SimulationError` naming the spec, ``n``
+  and the nearest valid sizes — from :func:`resolve_pattern` and from
+  the primitive itself, so a curve never carries a label for traffic
+  it did not run.  :func:`size_violation` returns the same message
+  without raising, for callers that filter a grid.
 * Structured patterns map their fixed points (the transpose diagonal,
   bit-complement's middle, …) to uniform random draws.
 
@@ -42,9 +43,8 @@ busiest channel of the given routing function.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -53,57 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 # dest = pattern(source, num_nodes, rng); returning the source resamples.
 DestinationPattern = Callable[[int, int, random.Random], int]
-
-# (pattern name, n) pairs that already warned about a fallback.
-_WARNED: Set[Tuple[str, int]] = set()
-
-# requirement key -> human description of the node-count constraint.
-_REQUIREMENT_TEXT = {
-    "square": "a square node count",
-    "pow2": "a power-of-two node count",
-}
-
-
-def _nearest_valid_sizes(requirement: str, n: int) -> Tuple[int, int]:
-    """The valid node counts bracketing ``n`` for a size requirement."""
-    if requirement == "square":
-        side = int(n ** 0.5)
-        below = max(1, side) ** 2
-        above = (side + 1) ** 2
-    elif requirement == "pow2":
-        below = 1 << max(0, n.bit_length() - 1)
-        above = 1 << n.bit_length()
-    else:  # pragma: no cover - requirement keys are closed
-        raise SimulationError(f"unknown size requirement {requirement!r}")
-    return (below, above)
-
-
-def _size_violation(name: str, requirement: str, n: int) -> str:
-    """'pattern spec X requires ... got n=..., nearest valid sizes ...'."""
-    below, above = _nearest_valid_sizes(requirement, n)
-    return (
-        f"pattern spec {name!r} requires {_REQUIREMENT_TEXT[requirement]} "
-        f"but got n={n} (nearest valid sizes: {below} and {above})"
-    )
-
-
-def _fallback(name: str, requirement: str, n: int) -> None:
-    """Warn once per (pattern, n) that the pattern degrades to uniform."""
-    if (name, n) in _WARNED:
-        return
-    _WARNED.add((name, n))
-    warnings.warn(
-        f"{_size_violation(name, requirement, n)}; "
-        f"falling back to uniform random (resolve with strict=True to "
-        f"raise instead)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def reset_fallback_warnings() -> None:
-    """Forget which (pattern, n) fallbacks already warned (test hook)."""
-    _WARNED.clear()
 
 
 def is_square(n: int) -> bool:
@@ -115,16 +64,44 @@ def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+# requirement key -> (predicate on n, human description of the constraint).
+_REQUIREMENTS: Dict[str, Tuple[Callable[[int], bool], str]] = {
+    "square": (is_square, "a square node count"),
+    "pow2": (is_power_of_two, "a power-of-two node count"),
+}
+
+
+def _size_violation(name: str, requirement: str, n: int) -> Optional[str]:
+    """'pattern spec X requires ... got n=..., nearest valid sizes ...',
+    or ``None`` when ``n`` meets the requirement."""
+    holds, text = _REQUIREMENTS[requirement]
+    if holds(n):
+        return None
+    if requirement == "square":
+        side = int(n ** 0.5)
+        below, above = max(1, side) ** 2, (side + 1) ** 2
+    else:
+        below, above = 1 << max(0, n.bit_length() - 1), 1 << n.bit_length()
+    return (
+        f"pattern spec {name!r} requires {text} "
+        f"but got n={n} (nearest valid sizes: {below} and {above})"
+    )
+
+
+def _require(name: str, requirement: str, n: int) -> None:
+    violation = _size_violation(name, requirement, n)
+    if violation is not None:
+        raise SimulationError(violation)
+
+
 def require_square(name: str, n: int) -> None:
     """Raise :class:`SimulationError` unless ``n`` is a perfect square."""
-    if not is_square(n):
-        raise SimulationError(_size_violation(name, "square", n))
+    _require(name, "square", n)
 
 
 def require_power_of_two(name: str, n: int) -> None:
     """Raise :class:`SimulationError` unless ``n`` is a power of two."""
-    if not is_power_of_two(n):
-        raise SimulationError(_size_violation(name, "pow2", n))
+    _require(name, "pow2", n)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +135,10 @@ def transpose_pattern(src: int, n: int, rng: random.Random) -> int:
     """Matrix-transpose destination on a square grid.
 
     Diagonal nodes (self maps) draw uniformly; a non-square ``n``
-    degrades to uniform random with a one-time warning (strict
-    resolution raises instead — see the module docstring).
+    raises :class:`SimulationError`.
     """
+    require_square("transpose", n)
     side = int(n ** 0.5)
-    if side * side != n:
-        _fallback("transpose", "square", n)
-        return uniform_random(src, n, rng)
     dest = (src % side) * side + src // side
     if dest == src:
         return uniform_random(src, n, rng)
@@ -173,9 +147,7 @@ def transpose_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def bit_complement_pattern(src: int, n: int, rng: random.Random) -> int:
     """Bitwise complement within ``log2(n)`` bits."""
-    if not is_power_of_two(n):
-        _fallback("bit_complement", "pow2", n)
-        return uniform_random(src, n, rng)
+    require_power_of_two("bit_complement", n)
     dest = src ^ (n - 1)
     if dest == src:  # n == 1 only
         return uniform_random(src, n, rng)
@@ -184,9 +156,7 @@ def bit_complement_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def bit_reverse_pattern(src: int, n: int, rng: random.Random) -> int:
     """Reverse the ``log2(n)``-bit address (palindromes draw uniformly)."""
-    if not is_power_of_two(n):
-        _fallback("bit_reverse", "pow2", n)
-        return uniform_random(src, n, rng)
+    require_power_of_two("bit_reverse", n)
     bits = n.bit_length() - 1
     dest = 0
     for i in range(bits):
@@ -199,9 +169,7 @@ def bit_reverse_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def bit_rotation_pattern(src: int, n: int, rng: random.Random) -> int:
     """Rotate the address right by one bit (unshuffle)."""
-    if not is_power_of_two(n):
-        _fallback("bit_rotation", "pow2", n)
-        return uniform_random(src, n, rng)
+    require_power_of_two("bit_rotation", n)
     bits = n.bit_length() - 1
     if bits == 0:
         return uniform_random(src, n, rng)
@@ -213,9 +181,7 @@ def bit_rotation_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def shuffle_pattern(src: int, n: int, rng: random.Random) -> int:
     """Perfect shuffle: rotate the address left by one bit."""
-    if not is_power_of_two(n):
-        _fallback("shuffle", "pow2", n)
-        return uniform_random(src, n, rng)
+    require_power_of_two("shuffle", n)
     bits = n.bit_length() - 1
     if bits == 0:
         return uniform_random(src, n, rng)
@@ -315,7 +281,7 @@ class PatternEntry:
     """One registered pattern family.
 
     ``factory(params, topology)`` builds the callable; ``requires``
-    names a node-count requirement checked at strict resolve time
+    names a node-count requirement checked whenever ``n`` is known
     (``"square"`` or ``"pow2"``); ``needs_topology`` marks
     routing-aware patterns that cannot resolve without one.
     """
@@ -340,6 +306,11 @@ def register_pattern(
     """Register (or replace) a pattern family under ``name``."""
     if ":" in name:
         raise SimulationError(f"pattern name {name!r} may not contain ':'")
+    if requires is not None and requires not in _REQUIREMENTS:
+        raise SimulationError(
+            f"unknown size requirement {requires!r}; "
+            f"choose from {sorted(_REQUIREMENTS)}"
+        )
     _REGISTRY[name] = PatternEntry(
         name=name,
         factory=factory,
@@ -381,23 +352,32 @@ def canonical_spec(spec: str) -> str:
     return name
 
 
+def size_violation(spec: str, n: int) -> Optional[str]:
+    """Why ``spec`` cannot run on ``n`` nodes, or ``None`` if it can.
+
+    The message names the spec, ``n`` and the nearest valid sizes; it is
+    the same text :func:`resolve_pattern` and the primitives raise.
+    """
+    name, _ = _parse_spec(spec)
+    requirement = _REGISTRY[name].requires
+    if requirement is None:
+        return None
+    return _size_violation(name, requirement, n)
+
+
 def resolve_pattern(
     spec: str,
     n: Optional[int] = None,
     topology: Optional["Topology"] = None,
-    strict: bool = False,
 ) -> DestinationPattern:
     """Turn a pattern spec into a destination callable.
 
     Args:
         spec: ``name`` or ``name:arg1:arg2`` (see :func:`pattern_names`).
-        n: node count, when known — required for ``strict`` checking of
-            size requirements and for validating hotspot node ids.
+        n: node count, when known — checked against the pattern's size
+            requirement (see :func:`size_violation`) and hotspot node ids.
         topology: required by routing-aware patterns (``adversarial``);
             also supplies ``n`` when not given explicitly.
-        strict: raise :class:`SimulationError` when ``n`` violates the
-            pattern's node-count requirement instead of warning once and
-            degrading to uniform random.
     """
     name, params = _parse_spec(spec)
     entry = _REGISTRY[name]
@@ -407,11 +387,8 @@ def resolve_pattern(
         raise SimulationError(
             f"pattern {name!r} is routing-aware and needs a topology to resolve"
         )
-    if strict and n is not None and entry.requires is not None:
-        if entry.requires == "square":
-            require_square(name, n)
-        elif entry.requires == "pow2":
-            require_power_of_two(name, n)
+    if n is not None and entry.requires is not None:
+        _require(name, entry.requires, n)
     pattern = entry.factory(params, topology)
     if name == "hotspot" and n is not None:
         node, _ = _hotspot_params(params)
@@ -514,13 +491,3 @@ register_pattern(
     description="routing-aware permutation maximizing peak channel load",
 )
 
-
-#: Default-parameter resolution of every non-routing-aware family, kept
-#: as a plain mapping for backward compatibility with the original
-#: ``openloop.PATTERNS`` dict (``adversarial`` is excluded — it cannot
-#: resolve without a topology; use :func:`resolve_pattern`).
-PATTERNS: Dict[str, DestinationPattern] = {
-    name: _REGISTRY[name].factory((), None)
-    for name in pattern_names()
-    if not _REGISTRY[name].needs_topology
-}

@@ -11,6 +11,7 @@ from repro.topology.builders import (
     ring,
     torus,
     torus_for,
+    torus_link_delays,
 )
 from repro.topology.network import (
     Link,
@@ -58,4 +59,5 @@ __all__ = [
     "ring",
     "torus",
     "torus_for",
+    "torus_link_delays",
 ]

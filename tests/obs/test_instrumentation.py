@@ -10,7 +10,8 @@ from repro.eval.serialize import result_to_dict
 from repro.model.cliques import CliqueAnalysis
 from repro.obs import DISABLED, MANDATORY_COUNTERS, enabled_observability
 from repro.simulator import SimConfig, simulate
-from repro.simulator.openloop import run_open_loop, uniform_random
+from repro.simulator.openloop import run_open_loop
+from repro.sweeps.patterns import uniform_random
 from repro.synthesis.annealing import AnnealSchedule, SimulatedAnnealing
 from repro.synthesis.partition import Partitioner
 from repro.topology import crossbar, mesh

@@ -93,7 +93,20 @@ class TestRoutes:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
+
+    def test_pattern_size_violation_is_400(self, instant_service):
+        with pytest.raises(ServiceError) as excinfo:
+            instant_service.submit({"kind": "sweep", "pattern": "transpose", "nodes": 8})
+        message = str(excinfo.value)
+        assert "HTTP 400" in message
+        assert "pattern spec 'transpose' requires a square node count" in message
+        assert instant_service.stats()["jobs"].get("submitted", 0) == 0
+
+    def test_unknown_pattern_is_400(self, instant_service):
+        with pytest.raises(ServiceError, match="HTTP 400.*unknown pattern"):
+            instant_service.submit({"kind": "sweep", "pattern": "wormhole"})
 
     def test_stats_document(self, instant_service):
         receipt = instant_service.submit(SPEC)

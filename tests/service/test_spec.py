@@ -102,6 +102,45 @@ class TestCanonicalize:
         with pytest.raises(ServiceError, match="'benchmark'"):
             canonicalize_spec({"kind": "synthesize", "benchmark": "linpack"})
 
+    @pytest.mark.parametrize(
+        "raw,field",
+        [
+            ({"kind": "sweep", "pattern": "transpose", "nodes": 8}, "pattern"),
+            ({"kind": "sweep", "pattern": "shuffle", "nodes": 12,
+              "topology": "torus"}, "pattern"),
+            ({"kind": "synthesize", "benchmark": "cg", "nodes": 8,
+              "curves": {"patterns": ["uniform", "transpose"]}}, "curves.patterns"),
+            ({"kind": "synthesize", "benchmark": "bt", "nodes": 9,
+              "curves": {"patterns": ["bit_reverse"]}}, "curves.patterns"),
+        ],
+    )
+    def test_pattern_size_violation_rejected(self, raw, field):
+        """A pattern the job's node count cannot serve is refused up
+        front instead of returning a bundle labelled with it."""
+        with pytest.raises(ServiceError) as excinfo:
+            canonicalize_spec(raw)
+        message = str(excinfo.value)
+        assert message.startswith(f"{field!r}: pattern spec ")
+        assert f"n={raw['nodes']} (nearest valid sizes:" in message
+
+    def test_pattern_at_a_valid_size_accepted(self):
+        spec = canonicalize_spec({"kind": "sweep", "pattern": "transpose", "nodes": 16})
+        assert spec["pattern"] == "transpose"
+        spec = canonicalize_spec(
+            {"kind": "synthesize", "benchmark": "cg", "nodes": 8,
+             "curves": {"patterns": ["shuffle", "bit_complement"]}}
+        )
+        assert spec["curves"]["patterns"] == ["shuffle", "bit_complement"]
+
+    def test_unknown_pattern_is_a_service_error(self):
+        with pytest.raises(ServiceError, match="'pattern': unknown pattern"):
+            canonicalize_spec({"kind": "sweep", "pattern": "wormhole"})
+        with pytest.raises(ServiceError, match="'curves.patterns': unknown pattern"):
+            canonicalize_spec(
+                {"kind": "synthesize", "benchmark": "cg",
+                 "curves": {"patterns": ["wormhole"]}}
+            )
+
     def test_curves_request_canonicalized(self):
         spec = canonicalize_spec(
             {"kind": "synthesize", "benchmark": "cg",

@@ -8,11 +8,13 @@ import pytest
 from repro.errors import SimulationError
 from repro.simulator.openloop import (
     LoadPoint,
-    hotspot_pattern,
     latency_throughput_curve,
-    neighbor_pattern,
     run_open_loop,
     saturation_throughput,
+)
+from repro.sweeps.patterns import (
+    hotspot_pattern,
+    neighbor_pattern,
     transpose_pattern,
     uniform_random,
 )
@@ -233,22 +235,3 @@ class TestCurve:
         assert points[-1].saturated
         assert len(points) == 2
 
-
-class TestRegistryReExport:
-    def test_openloop_patterns_is_the_sweeps_registry(self):
-        """``openloop.PATTERNS`` must be the same object as the sweeps
-        registry view so registrations are visible through both."""
-        from repro.simulator import openloop
-        from repro.sweeps import patterns as sweeps_patterns
-
-        assert openloop.PATTERNS is sweeps_patterns.PATTERNS
-        assert openloop.resolve_pattern is sweeps_patterns.resolve_pattern
-
-    def test_patterns_dict_has_canonical_suite(self):
-        from repro.simulator.openloop import PATTERNS
-
-        for name in (
-            "uniform", "neighbor", "tornado", "transpose", "hotspot",
-            "bit_complement", "bit_reverse", "bit_rotation", "shuffle",
-        ):
-            assert name in PATTERNS

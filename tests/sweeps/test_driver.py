@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.eval.parallel import ResultCache
 from repro.simulator.openloop import LoadPoint
 from repro.sweeps.driver import (
     CRITERIA,
@@ -264,9 +265,12 @@ class TestRunSweep:
         curve = run_sweep(mesh(2, 2), "hotspot:01:0.50", sweep=FAST)
         assert curve.pattern == "hotspot:1:0.5"
 
-    def test_strict_pattern_violation_fails_before_any_cell(self):
-        with pytest.raises(SimulationError, match="requires"):
-            run_sweep(mesh(4, 2), "transpose", sweep=FAST, strict_patterns=True)
+    def test_strict_pattern_violation_fails_before_any_cell(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(SimulationError, match="requires") as excinfo:
+            run_sweep(mesh(4, 2), "transpose", sweep=FAST, cache=cache)
+        assert "n=8 (nearest valid sizes: 4 and 9)" in str(excinfo.value)
+        assert cache.stats()["results"] == 0
 
     def test_unknown_pattern_fails_fast(self):
         with pytest.raises(SimulationError, match="unknown pattern"):

@@ -1,13 +1,11 @@
 """Tests for the synthetic traffic suite and its registry."""
 
 import random
-import warnings
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sweeps.patterns import (
-    PATTERNS,
     adversarial_pattern,
     adversarial_permutation,
     bit_complement_pattern,
@@ -19,20 +17,13 @@ from repro.sweeps.patterns import (
     pattern_entries,
     pattern_names,
     register_pattern,
-    reset_fallback_warnings,
     resolve_pattern,
     shuffle_pattern,
+    size_violation,
     tornado_pattern,
     transpose_pattern,
 )
 from repro.topology import mesh, torus
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_fallback_warnings()
-    yield
-    reset_fallback_warnings()
 
 
 class TestRegistry:
@@ -46,14 +37,12 @@ class TestRegistry:
 
     def test_hotspot_registered_in_patterns_dict(self):
         """Regression: hotspot was defined but never registered, so the
-        legacy ``openloop.PATTERNS`` mapping silently lacked it."""
-        assert "hotspot" in PATTERNS
+        pattern registry silently lacked it."""
+        assert "hotspot" in pattern_names()
         rng = random.Random(0)
-        hits = sum(PATTERNS["hotspot"](5, 8, rng) == 0 for _ in range(400))
+        fn = resolve_pattern("hotspot")
+        hits = sum(fn(5, 8, rng) == 0 for _ in range(400))
         assert 120 <= hits <= 280  # default bias 0.5 toward node 0
-
-    def test_patterns_dict_excludes_routing_aware(self):
-        assert "adversarial" not in PATTERNS
 
     def test_catalog_covers_every_name(self):
         catalog = pattern_catalog()
@@ -74,6 +63,10 @@ class TestRegistry:
             from repro.sweeps.patterns import _REGISTRY
 
             del _REGISTRY["everyone-to-zero"]
+
+    def test_register_rejects_unknown_size_requirement(self):
+        with pytest.raises(SimulationError, match="size requirement"):
+            register_pattern("odd-only", lambda params, topology: None, requires="odd")
 
     def test_register_rejects_colon_names(self):
         with pytest.raises(SimulationError):
@@ -126,22 +119,23 @@ class TestHotspotSpec:
 
 
 class TestSizeRequirements:
-    """Satellite audit: incompatible sizes must either raise (strict)
-    or warn exactly once and degrade to uniform (default)."""
+    """Incompatible sizes raise on every path — resolution and the
+    primitive itself — with one message naming the spec, ``n`` and the
+    nearest valid sizes; nothing degrades to uniform under the label."""
 
     @pytest.mark.parametrize(
         "spec", ["transpose", "bit_complement", "bit_reverse", "bit_rotation", "shuffle"]
     )
     def test_strict_resolve_raises_on_bad_size(self, spec):
         with pytest.raises(SimulationError, match="requires"):
-            resolve_pattern(spec, n=12, strict=True)
+            resolve_pattern(spec, n=12)
 
     @pytest.mark.parametrize(
         "spec", ["transpose", "bit_complement", "bit_reverse", "bit_rotation", "shuffle"]
     )
     def test_strict_resolve_names_the_violating_pattern(self, spec):
         with pytest.raises(SimulationError, match=f"pattern spec '{spec}'"):
-            resolve_pattern(spec, n=12, strict=True)
+            resolve_pattern(spec, n=12)
 
     @pytest.mark.parametrize(
         "spec,n,sizes",
@@ -149,8 +143,9 @@ class TestSizeRequirements:
     )
     def test_strict_error_reports_nearest_valid_sizes(self, spec, n, sizes):
         with pytest.raises(SimulationError) as excinfo:
-            resolve_pattern(spec, n=n, strict=True)
+            resolve_pattern(spec, n=n)
         message = str(excinfo.value)
+        assert message == size_violation(spec, n)
         assert f"n={n}" in message
         assert f"nearest valid sizes: {sizes}" in message
 
@@ -158,47 +153,36 @@ class TestSizeRequirements:
         "spec,good_n", [("transpose", 16), ("bit_reverse", 16), ("shuffle", 8)]
     )
     def test_strict_resolve_accepts_good_size(self, spec, good_n):
-        assert callable(resolve_pattern(spec, n=good_n, strict=True))
-
-    @pytest.mark.parametrize(
-        "fn,name",
-        [
-            (transpose_pattern, "transpose"),
-            (bit_complement_pattern, "bit_complement"),
-            (bit_reverse_pattern, "bit_reverse"),
-            (bit_rotation_pattern, "bit_rotation"),
-            (shuffle_pattern, "shuffle"),
-        ],
-    )
-    def test_default_fallback_warns_once_per_size(self, fn, name):
-        rng = random.Random(0)
-        with pytest.warns(RuntimeWarning, match=name):
-            dest = fn(0, 12, rng)
-        assert 0 <= dest < 12 and dest != 0
-        # Second call with the same (pattern, n): silent fallback.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fn(1, 12, rng)
-        # A different n warns again.
-        with pytest.warns(RuntimeWarning, match=name):
-            fn(0, 6, rng)
+        assert callable(resolve_pattern(spec, n=good_n))
 
     @pytest.mark.parametrize(
         "fn,name,sizes",
         [
             (transpose_pattern, "transpose", "9 and 16"),
+            (bit_complement_pattern, "bit_complement", "8 and 16"),
             (bit_reverse_pattern, "bit_reverse", "8 and 16"),
+            (bit_rotation_pattern, "bit_rotation", "8 and 16"),
+            (shuffle_pattern, "shuffle", "8 and 16"),
         ],
     )
-    def test_fallback_warning_reports_spec_and_required_sizes(self, fn, name, sizes):
-        rng = random.Random(0)
-        with pytest.warns(RuntimeWarning) as record:
-            fn(0, 12, rng)
-        message = str(record[0].message)
-        assert f"pattern spec '{name}'" in message
-        assert "n=12" in message
-        assert f"nearest valid sizes: {sizes}" in message
-        assert "falling back to uniform random" in message
+    def test_primitive_raises_on_bad_size(self, fn, name, sizes):
+        with pytest.raises(SimulationError) as excinfo:
+            fn(0, 12, random.Random(0))
+        assert str(excinfo.value) == size_violation(name, 12)
+        assert f"pattern spec '{name}'" in str(excinfo.value)
+        assert f"n=12 (nearest valid sizes: {sizes})" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [("transpose", 16), ("shuffle", 8), ("uniform", 7), ("hotspot:3:0.8", 12),
+         ("tornado", 5), ("adversarial", 6)],
+    )
+    def test_size_violation_none_when_runnable(self, spec, n):
+        assert size_violation(spec, n) is None
+
+    def test_size_violation_rejects_unknown_spec(self):
+        with pytest.raises(SimulationError, match="unknown pattern"):
+            size_violation("wormhole", 8)
 
 
 class TestStructuredPatterns:

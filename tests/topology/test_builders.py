@@ -12,6 +12,7 @@ from repro.topology import (
     ring,
     torus,
     torus_for,
+    torus_link_delays,
 )
 
 
@@ -70,6 +71,14 @@ class TestTorus:
         top = torus(4, 4)
         for s in top.network.switches:
             assert top.network.degree(s) == 5  # 1 proc + 4 links
+
+    @pytest.mark.parametrize("w,h,wraps", [(4, 4, 8), (4, 2, 2), (3, 3, 6)])
+    def test_link_delays_charge_two_cycles_per_wraparound(self, w, h, wraps):
+        top = torus(w, h)
+        delays = torus_link_delays(top)
+        assert set(delays) == {link.link_id for link in top.network.links}
+        assert sorted(set(delays.values())) == [1, 2]
+        assert sum(1 for d in delays.values() if d == 2) == wraps
 
 
 class TestCrossbar:

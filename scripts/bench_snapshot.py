@@ -2,14 +2,13 @@
 """Write schema-versioned benchmark snapshots (``BENCH_*.json``).
 
 Measures the hot paths the repo pins — synthesis (cg-16 annealed
-partitioning plus portfolio fan-outs at 16 and 64 nodes, serial vs
-fanned and cold vs warm cache), the flit-level simulator (trace replay
-plus the idle-heavy NIC-wake workload), and the saturation-sweep driver
-(tornado + uniform knee searches on the 4x4 mesh, plus the batched
-suite fan-out against per-pair sweeps on the robustness smoke grid) —
-and writes
-``BENCH_synthesis.json``, ``BENCH_simulator.json`` and
-``BENCH_sweep.json``.
+partitioning, portfolio fan-outs at 16 and 64 nodes, serial vs fanned
+and cold vs warm cache, and the cg-16 floorplan), the flit-level
+simulator (trace replay plus the idle-heavy NIC-wake workload), and
+the saturation-sweep driver (tornado + uniform knee searches on the 4x4
+mesh, plus the batched suite fan-out against per-pair sweeps on the
+robustness smoke grid) — and writes ``BENCH_synthesis.json``,
+``BENCH_simulator.json`` and ``BENCH_sweep.json``.
 
 Each snapshot carries:
 
@@ -119,7 +118,42 @@ def _synthesis_cases(repeats: int):
         DesignConstraints(max_degree=8),
         PortfolioConfig(size=2),
     )
+    cases["cg16-floorplan"] = _floorplan_case(repeats)
     return cases
+
+
+def _floorplan_case(repeats: int):
+    """``place()`` of the evaluation runner's generated cg-16 design
+    (synthesis seed 0, 8 restarts; placement seed 0).  The canonical
+    floorplan's sha256 pins every corner, cell and link cost."""
+    import hashlib
+
+    from repro.eval.serialize import canonical_json
+    from repro.floorplan import place
+    from repro.synthesis.generator import generate_network
+    from repro.workloads.nas import benchmark as nas_benchmark
+
+    network = generate_network(
+        nas_benchmark("cg", 16).pattern, seed=0, restarts=8
+    ).network
+    wall, plan = _best_of(lambda: place(network, seed=0), max(repeats, 5))
+    text = canonical_json(
+        {
+            "grid": [plan.grid.width, plan.grid.height],
+            "switch_corner": sorted(plan.switch_corner.items()),
+            "processor_cell": sorted(plan.processor_cell.items()),
+            "link_costs": sorted(plan.link_costs.items()),
+            "feasible": plan.feasible,
+        }
+    )
+    return {
+        "wall_s": round(wall, 6),
+        "deterministic": {
+            "total_link_area": plan.total_link_area,
+            "feasible": plan.feasible,
+            "floorplan_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        },
+    }
 
 
 def _portfolio_case(pattern, constraints, config):

@@ -50,7 +50,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 from repro.eval.serialize import canonical_json, config_to_dict, result_to_dict
@@ -691,26 +691,35 @@ def print_progress(outcome: CellOutcome, index: int, total: int) -> None:
     print(f"[{index}/{total}] {outcome.label}: {status}", file=sys.stderr, flush=True)
 
 
-def _execute_cell(
-    cell: Cell, cache_root: Optional[str], obs: Optional[Observability] = None
+def _cached_outcome(
+    cell: Cell, key: str, cache_root: Optional[str]
+) -> Optional[CellOutcome]:
+    """The cell's outcome straight from the cache, or ``None`` on a miss."""
+    if cache_root is None:
+        return None
+    started = time.perf_counter()
+    cached = ResultCache(cache_root).get_result(key)
+    if cached is None:
+        return None
+    return CellOutcome(
+        label=cell.label,
+        key=key,
+        cache_hit=True,
+        seconds=time.perf_counter() - started,
+        payload=cached,
+    )
+
+
+def _compute_cell(
+    cell: Cell, key: str, cache_root: Optional[str], obs: Optional[Observability] = None
 ) -> CellOutcome:
-    """Run one cell (worker side): consult the cache, compute on miss.
+    """Compute one cell and write it through to the cache (worker side
+    on the pool path).
 
     ``obs`` is only threaded on in-process (serial) execution — an
     observability bundle cannot cross the process-pool boundary.
     """
     started = time.perf_counter()
-    key = cell.key()
-    if cache_root is not None:
-        cached = ResultCache(cache_root).get_result(key)
-        if cached is not None:
-            return CellOutcome(
-                label=cell.label,
-                key=key,
-                cache_hit=True,
-                seconds=time.perf_counter() - started,
-                payload=cached,
-            )
     payload = cell.compute(obs=obs)
     if cache_root is not None:
         ResultCache(cache_root).put_result(key, payload)
@@ -758,41 +767,54 @@ def run_cells(
     callers build rows deterministically.  ``jobs=None`` (or 1) runs in
     process — the reference path the determinism harness compares
     against; ``jobs=N`` fans out over N workers; ``jobs<=0`` uses every
-    core.  ``obs`` records cache hit/miss counters and one span per
-    cell (coordinator side only — payloads are never touched, so
-    observability cannot perturb the determinism guarantee).
+    core.  Cache hits are always read in the coordinator and only the
+    misses fan out, so an all-hit call starts no pool.  ``obs`` records
+    cache hit/miss counters and one span per cell (coordinator side
+    only — payloads are never touched, so observability cannot perturb
+    the determinism guarantee).
     """
     obs = obs if obs is not None else DISABLED
     cache_root = str(cache.root) if cache is not None else None
     workers = resolve_jobs(jobs)
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total
-    if workers is None or total <= 1:
-        for i, cell in enumerate(cells):
-            outcome = _execute_cell(cell, cache_root, obs=obs if obs.enabled else None)
-            outcomes[i] = outcome
-            if obs.enabled:
-                _observe_outcome(obs, outcome)
-            if progress is not None:
-                progress(outcome, i + 1, total)
-        return [o for o in outcomes if o is not None]
     done = 0
-    with ProcessPoolExecutor(max_workers=min(workers, total)) as pool:
-        futures = {
-            pool.submit(_execute_cell, cell, cache_root): i
-            for i, cell in enumerate(cells)
-        }
-        pending = set(futures)
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                outcome = fut.result()
-                outcomes[futures[fut]] = outcome
-                done += 1
-                if obs.enabled:
-                    _observe_outcome(obs, outcome)
-                if progress is not None:
-                    progress(outcome, done, total)
+
+    def finish(i: int, outcome: CellOutcome) -> None:
+        nonlocal done
+        outcomes[i] = outcome
+        done += 1
+        if obs.enabled:
+            _observe_outcome(obs, outcome)
+        if progress is not None:
+            progress(outcome, done, total)
+
+    serial = workers is None or total <= 1
+    misses: List[Tuple[int, str]] = []
+    for i, cell in enumerate(cells):
+        key = cell.key()
+        outcome = _cached_outcome(cell, key, cache_root)
+        if outcome is not None:
+            finish(i, outcome)
+        elif serial:
+            cell_obs = obs if obs.enabled else None
+            finish(i, _compute_cell(cell, key, cache_root, obs=cell_obs))
+        else:
+            misses.append((i, key))
+    if misses:
+        # Only the misses cross the process boundary: cache hits were
+        # resolved above, so an all-hit call never starts a pool.
+        assert workers is not None  # misses are only deferred off the serial path
+        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
+            futures = {
+                pool.submit(_compute_cell, cells[i], key, cache_root): i
+                for i, key in misses
+            }
+            pending = set(futures)
+            while pending:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    finish(futures[fut], fut.result())
     return [o for o in outcomes if o is not None]
 
 

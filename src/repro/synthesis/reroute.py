@@ -13,7 +13,7 @@ total estimated links).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.model.message import Communication
 from repro.synthesis.constraints import DesignConstraints
@@ -170,12 +170,25 @@ def _improve_comm(
     s: int,
     k: int,
 ) -> bool:
-    """Try all single-switch detours/shortcuts for one hop of ``comm``."""
+    """Try all single-switch detours/shortcuts for one hop of ``comm``.
+
+    Detours are scored only when taking ``comm`` off the ``s-k`` pipe
+    lowers that pipe's estimate.  ``Fast_Color`` is ``max_K |K ∩ C|``,
+    which never falls when a communication is added to ``C``; a detour
+    removes ``comm`` from the ``s-k`` pipe and adds it to ``s-m`` and
+    ``m-k``.  If the removal brings no relief, no pipe estimate, hence
+    no degree and no link total, can fall, so no detour can beat
+    ``before`` and skipping them changes nothing.
+    """
     old_path = state.route_of(comm)
-    if not _uses_hop(old_path, s, k):
+    hop = _directed_hop(old_path, s, k)
+    if hop is None:
         return False
     before = _objective(state, constraints)
-    for candidate in _candidate_paths(state, old_path, s, k):
+    candidates = _shortcut_paths(old_path)
+    if _relieves(state, comm, hop):
+        candidates = _detour_paths(state, old_path, s, k) + candidates
+    for candidate in candidates:
         changed = state.preview_route_change(comm, candidate)
         if state.preview_objective(changed, constraints.max_degree) < before:
             state.set_route(comm, candidate)
@@ -183,13 +196,29 @@ def _improve_comm(
     return False
 
 
-def _uses_hop(path: Tuple[int, ...], s: int, k: int) -> bool:
+def _directed_hop(
+    path: Tuple[int, ...], s: int, k: int
+) -> Optional[Tuple[int, int]]:
+    """The ``(u, v)`` hop of ``path`` between ``s`` and ``k``, if any."""
     prev = path[0]
     for node in path[1:]:
         if (prev == s and node == k) or (prev == k and node == s):
-            return True
+            return (prev, node)
         prev = node
-    return False
+    return None
+
+
+def _uses_hop(path: Tuple[int, ...], s: int, k: int) -> bool:
+    return _directed_hop(path, s, k) is not None
+
+
+def _relieves(state: SynthesisState, comm: Communication, hop: Tuple[int, int]) -> bool:
+    """Whether taking ``comm`` off the directed ``hop`` lowers the
+    estimate of that pipe."""
+    u, v = hop
+    rest = state.pipe_forward(u, v) - {comm}
+    after = state.color_memo.fast_pair(rest, state.pipe_forward(v, u))
+    return after < state.pipe_estimate(u, v)
 
 
 def _candidate_paths(
@@ -197,6 +226,13 @@ def _candidate_paths(
 ) -> List[Tuple[int, ...]]:
     """Detours (insert one switch in the s-k hop) and shortcuts (drop an
     interior switch), all normalized and deduplicated."""
+    return _detour_paths(state, path, s, k) + _shortcut_paths(path)
+
+
+def _detour_paths(
+    state: SynthesisState, path: Tuple[int, ...], s: int, k: int
+) -> List[Tuple[int, ...]]:
+    """``path`` with one switch inserted in its s-k hop, deduplicated."""
     out: List[Tuple[int, ...]] = []
     seen = {path}
     # Routes are simple paths, so inserting a switch not already on the
@@ -218,10 +254,11 @@ def _candidate_paths(
         if candidate not in seen:
             seen.add(candidate)
             out.append(candidate)
-    # Shortcuts: drop one interior switch.
-    for idx in range(1, len(path) - 1):
-        candidate = path[:idx] + path[idx + 1 :]
-        if candidate not in seen:
-            seen.add(candidate)
-            out.append(candidate)
     return out
+
+
+def _shortcut_paths(path: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """``path`` with one interior switch dropped.  Shortcuts are shorter
+    than ``path`` and detours longer, so neither list can repeat the
+    other."""
+    return [path[:idx] + path[idx + 1 :] for idx in range(1, len(path) - 1)]

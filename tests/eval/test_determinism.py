@@ -13,10 +13,12 @@ Regenerate the fixture after an *intentional* simulation change with::
 
 import json
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
+from repro.eval import parallel
 from repro.eval.parallel import (
     PerformanceCell,
     ResilienceCell,
@@ -136,6 +138,82 @@ class TestCacheKeys:
         redone = run_cells([cell], cache=cache)
         assert not redone[0].cache_hit
         assert _payload_bytes(redone) == _payload_bytes(cold)
+
+
+class _InProcessPool:
+    """Stand-in for ``ProcessPoolExecutor`` that runs each submission
+    in process and records the labels of the cells it was handed."""
+
+    def __init__(self, max_workers, submitted):
+        self.submitted = submitted
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, cell, *args):
+        self.submitted.append(cell.label)
+        future = Future()
+        future.set_result(fn(cell, *args))
+        return future
+
+
+class TestPoolOnlyForMisses:
+    """``run_cells(jobs=N)`` resolves cache hits in the coordinator and
+    hands only the misses to a process pool."""
+
+    def _cells(self, setup):
+        cells = _grid_cells(setup)
+        cells.append(
+            PerformanceCell(
+                label="cg-8/mesh",
+                program=setup.benchmark.program,
+                topology=setup.topology("mesh"),
+                config=SimConfig(),
+                link_delays=setup.link_delays("mesh"),
+            )
+        )
+        return cells
+
+    def test_all_hit_call_starts_no_pool(self, setup, tmp_path, monkeypatch):
+        cells = self._cells(setup)
+        cache = ResultCache(tmp_path / "cache")
+        cold = run_cells(cells, cache=cache)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an all-hit run_cells call started a pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        warm = run_cells(cells, jobs=2, cache=cache)
+        assert [o.label for o in warm] == [c.label for c in cells]
+        assert all(o.cache_hit for o in warm)
+        assert _payload_bytes(warm) == _payload_bytes(cold)
+
+    def test_mixed_call_fans_out_only_misses(self, setup, tmp_path, monkeypatch):
+        cells = self._cells(setup)
+        reference = run_cells(cells)
+        cache = ResultCache(tmp_path / "cache")
+        run_cells(cells[1:2], cache=cache)
+        submitted = []
+        monkeypatch.setattr(
+            parallel,
+            "ProcessPoolExecutor",
+            lambda max_workers: _InProcessPool(max_workers, submitted),
+        )
+        progress = []
+        mixed = run_cells(
+            cells, jobs=2, cache=cache,
+            progress=lambda outcome, i, total: progress.append((outcome.label, i, total)),
+        )
+        assert submitted == [cells[0].label, cells[2].label]
+        assert [o.label for o in mixed] == [c.label for c in cells]
+        assert [o.cache_hit for o in mixed] == [False, True, False]
+        assert _payload_bytes(mixed) == _payload_bytes(reference)
+        assert sorted(label for label, _, _ in progress) == sorted(c.label for c in cells)
+        assert [(i, total) for _, i, total in progress] == [(1, 3), (2, 3), (3, 3)]
+        assert all(cache.get_result(o.key) == o.payload for o in mixed)
 
 
 class TestResilienceDeterminism:

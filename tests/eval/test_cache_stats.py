@@ -34,11 +34,11 @@ def populated_cache(tmp_path_factory):
     cells = [
         SynthesisCell(
             label="synth:ok", pattern=pattern, seed=0,
-            constraints=DesignConstraints(max_degree=5), restarts=2,
+            constraints=DesignConstraints(max_degree=5),
         ),
         SynthesisCell(
             label="synth:infeasible", pattern=pattern, seed=0,
-            constraints=INFEASIBLE, restarts=2,
+            constraints=INFEASIBLE,
         ),
         PerformanceCell(
             label="perf:mesh",

@@ -112,7 +112,7 @@ class TestDesignRoundTrip:
         from repro.workloads import benchmark
 
         pattern = benchmark("cg", 8).pattern
-        return pattern, generate_network(pattern, seed=0)
+        return pattern, generate_network(pattern, seed=0, restarts=16)
 
     def test_round_trip_is_canonically_stable(self, design):
         pattern, generated = design
@@ -143,13 +143,14 @@ class TestDesignRoundTrip:
             )
 
     def test_partition_result_is_not_serialized(self, design):
-        """The in-process PartitionResult does not survive the JSON
-        round trip by design; the stats summary does."""
+        """A design carries no in-process PartitionResult (every design
+        comes out of a serialized portfolio cell); the stats summary
+        is what survives the JSON round trip."""
         pattern, generated = design
-        assert generated.result is not None
+        assert not hasattr(generated, "result")
         restored = design_from_dict(design_to_dict(generated), pattern)
-        assert restored.result is None
-        assert restored.stats.bisections == generated.result.bisections
+        assert restored.stats == generated.stats
+        assert restored.stats.bisections > 0
 
     def test_pattern_name_mismatch_rejected(self, design):
         from repro.workloads import benchmark

@@ -44,7 +44,7 @@ def _relay_network():
 
 
 NETWORKS = {
-    "cg8": generate_network(benchmark("cg", 8).pattern, seed=0).network,
+    "cg8": generate_network(benchmark("cg", 8).pattern, seed=0, restarts=16).network,
     "crossbar8": crossbar(8).network,
     "mesh3x3": mesh(3, 3).network,
     "relay": _relay_network(),

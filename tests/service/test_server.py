@@ -108,6 +108,22 @@ class TestRoutes:
         with pytest.raises(ServiceError, match="HTTP 400.*unknown pattern"):
             instant_service.submit({"kind": "sweep", "pattern": "wormhole"})
 
+    def test_portfolio_with_restarts_is_400(self, instant_service):
+        with pytest.raises(ServiceError, match="HTTP 400.*another spelling"):
+            instant_service.submit(
+                {"kind": "synthesize", "benchmark": "cg", "portfolio": 2, "restarts": 2}
+            )
+        assert instant_service.stats()["jobs"].get("submitted", 0) == 0
+
+    def test_portfolio_spelling_dedupes_with_restarts(self, instant_service):
+        a = instant_service.submit(
+            {"kind": "synthesize", "benchmark": "cg", "nodes": 8, "portfolio": 2}
+        )
+        b = instant_service.submit(
+            {"kind": "synthesize", "benchmark": "cg", "nodes": 8, "restarts": 2}
+        )
+        assert a["job_id"] == b["job_id"]
+
     def test_stats_document(self, instant_service):
         receipt = instant_service.submit(SPEC)
         instant_service.wait(receipt["job_id"], timeout=10)
@@ -188,14 +204,15 @@ class TestAcceptance:
             assert not any(t.is_alive() for t in threads)
 
             # Single flight: one content address, one scheduled
-            # execution, one cache miss across all eight submissions.
+            # execution, and one cache miss per restart seed across all
+            # eight submissions.
             assert len({r["job_id"] for r in receipts}) == 1
             stats = client.stats()
             assert stats["jobs"]["submitted"] == self.CLIENTS
             assert stats["jobs"]["scheduled"] == 1
             assert stats["jobs"]["executed"] == 1
-            assert stats["cells"]["lookups"] == 1
-            assert stats["cells"]["misses"] == 1
+            assert stats["cells"]["lookups"] == self.SPEC["restarts"]
+            assert stats["cells"]["misses"] == self.SPEC["restarts"]
 
         # Byte identity: all requesters, and direct execution.
         assert len(set(bundles)) == 1

@@ -77,7 +77,7 @@ class TestGenerateNetworkSmall:
             num_processes=6,
         )
         design = generate_network(
-            pattern, constraints=DesignConstraints(max_degree=4), seed=0
+            pattern, constraints=DesignConstraints(max_degree=4), seed=0, restarts=16
         )
         design.network.validate()
         assert design.network.is_connected()
@@ -93,7 +93,8 @@ class TestGenerateNetworkSmall:
         )
         with pytest.raises(SynthesisError):
             generate_network(
-                pattern, constraints=DesignConstraints(max_degree=2), seed=0
+                pattern, constraints=DesignConstraints(max_degree=2), seed=0,
+                restarts=16,
             )
 
     def test_certificate_matches_independent_check(self):

@@ -112,12 +112,14 @@ class TestGoldenPortfolio:
                 original.switches,
             )
 
-    def test_generate_network_portfolio_delegates(self, cg8):
-        """The generate_network(portfolio=K) entry point returns the
-        portfolio winner's design."""
-        via_portfolio = generate_network(cg8, seed=0, portfolio=3)
-        direct = synthesize_portfolio(cg8, config=_config(size=3))
-        assert canonical_json(design_to_dict(via_portfolio)) == canonical_json(
+    def test_generate_network_is_a_portfolio(self, cg8, tmp_path):
+        """generate_network(restarts=K) returns the size-K portfolio's
+        winner, and each restart is one cached cell."""
+        cache = ResultCache(tmp_path / "cache")
+        via_restarts = generate_network(cg8, seed=0, restarts=3, cache=cache)
+        direct = synthesize_portfolio(cg8, config=_config(size=3), cache=cache)
+        assert all(r.cache_hit for r in direct.runs)
+        assert canonical_json(design_to_dict(via_restarts)) == canonical_json(
             design_to_dict(direct.design)
         )
 
@@ -158,7 +160,6 @@ class TestCells:
             SynthesisCell(
                 label="x", pattern=cg8, seed=0, schedule=AnnealSchedule(steps=50)
             ),
-            SynthesisCell(label="x", pattern=cg8, seed=0, restarts=2),
             SynthesisCell(label="x", pattern=cg8, seed=0, reroute=False),
             SynthesisCell(label="x", pattern=cg8, seed=0, moves=False),
             SynthesisCell(label="x", pattern=benchmark("mg", 8).pattern, seed=0),
@@ -192,8 +193,6 @@ class TestConfigAndSelection:
             PortfolioConfig(schedules=())
         with pytest.raises(SynthesisError, match="objective"):
             PortfolioConfig(objective="fastest")
-        with pytest.raises(SynthesisError, match="restarts"):
-            PortfolioConfig(restarts=0)
 
     def test_objectives_rank_payloads(self):
         payload = {

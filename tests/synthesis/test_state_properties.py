@@ -177,6 +177,50 @@ def test_color_memo_stays_within_maxsize(pattern_seed, subset_seed, maxsize):
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pattern_seed=st.sampled_from([0, 1, 2]),
+    subset_seed=st.integers(min_value=0, max_value=500),
+    maxsize=st.integers(min_value=1, max_value=4),
+)
+def test_color_memo_evicts_oldest_insertion_first(pattern_seed, subset_seed, maxsize):
+    """Eviction is FIFO by first insertion: a hit does not refresh an
+    entry, and the survivors are always the ``maxsize`` most recently
+    inserted keys, in insertion order."""
+    pattern = random_permutation_pattern(6, 2, seed=pattern_seed)
+    analysis = CliqueAnalysis.of(pattern)
+    memo = ColorMemo(analysis.max_cliques, maxsize=maxsize)
+    rng = random.Random(subset_seed)
+    comms = sorted(analysis.communications)
+    pool = [
+        frozenset(rng.sample(comms, rng.randrange(0, len(comms) + 1)))
+        for _ in range(6)
+    ]
+    fast_model, exact_model = [], []
+
+    def insert(model, key):
+        if key not in model:
+            model.append(key)
+            del model[:-maxsize]
+
+    for _ in range(40):
+        fwd, bwd = rng.choice(pool), rng.choice(pool)
+        op = rng.randrange(3)
+        if op == 0:
+            memo.fast_pair(fwd, bwd)
+            insert(fast_model, fwd)
+            insert(fast_model, bwd)
+        elif op == 1:
+            memo.fast(fwd, bwd)
+            insert(fast_model, fwd)
+            insert(fast_model, bwd)
+        else:
+            memo.exact(fwd)
+            insert(exact_model, fwd)
+        assert list(memo._fast) == fast_model
+        assert list(memo._exact) == exact_model
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(min_value=0, max_value=500))
 def test_preview_route_change_equals_apply(seed):
     rng = random.Random(seed)

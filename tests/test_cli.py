@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.synthesis import DEFAULT_RESTARTS
 
 
 class TestParser:
@@ -29,18 +30,34 @@ class TestParser:
 class TestSynthesizeCommand:
     def test_benchmark_synthesis_prints_network(self, capsys):
         rc = main(
-            ["synthesize", "--benchmark", "cg", "--nodes", "8", "--restarts", "4"]
+            [
+                "synthesize", "--benchmark", "cg", "--nodes", "8",
+                "--restarts", "4", "--no-cache",
+            ]
         )
         out = capsys.readouterr().out
         assert rc == 0
         assert "contention-free: True" in out
         assert "switches" in out
 
+    def test_restarts_are_cached_cells(self, tmp_path, capsys):
+        argv = [
+            "synthesize", "--benchmark", "cg", "--nodes", "8",
+            "--restarts", "2", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "cached" not in cold.split("\n\n")[0]
+        assert warm.count("cached") == 2
+        assert cold.split("\n\n")[1:] == warm.split("\n\n")[1:]
+
     def test_floorplan_flag_renders(self, capsys):
         rc = main(
             [
                 "synthesize", "--benchmark", "cg", "--nodes", "8",
-                "--restarts", "4", "--floorplan",
+                "--restarts", "4", "--floorplan", "--no-cache",
             ]
         )
         out = capsys.readouterr().out
@@ -53,7 +70,9 @@ class TestSynthesizeCommand:
 
         path = tmp_path / "cg.jsonl"
         write_trace(cg(8, iterations=1).trace, path)
-        rc = main(["synthesize", "--trace", str(path), "--restarts", "4"])
+        rc = main(
+            ["synthesize", "--trace", str(path), "--restarts", "4", "--no-cache"]
+        )
         assert rc == 0
         assert "contention-free" in capsys.readouterr().out
 
@@ -66,16 +85,23 @@ class TestSynthesizeCommand:
 class TestPortfolioSynthesis:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["synthesize", "--benchmark", "cg"])
-        assert args.portfolio is None
-        assert args.seed_base is None
+        assert args.restarts == DEFAULT_RESTARTS
+        assert args.seed == 0
         assert args.objective == "links"
         assert args.target_objective is None
+
+    def test_portfolio_flags_are_gone(self):
+        for flags in (["--portfolio", "2"], ["--seed-base", "5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["synthesize", "--benchmark", "cg", *flags])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "--portfolio", "2"])
 
     def test_portfolio_prints_run_table_and_winner(self, capsys):
         rc = main(
             [
                 "synthesize", "--benchmark", "cg", "--nodes", "8",
-                "--portfolio", "2", "--no-cache",
+                "--restarts", "2", "--no-cache",
             ]
         )
         out = capsys.readouterr().out
@@ -84,11 +110,11 @@ class TestPortfolioSynthesis:
         assert "*" in out  # winner marker
         assert "contention-free: True" in out
 
-    def test_seed_base_shifts_the_grid(self, capsys):
+    def test_seed_shifts_the_grid(self, capsys):
         rc = main(
             [
                 "synthesize", "--benchmark", "cg", "--nodes", "8",
-                "--portfolio", "2", "--seed-base", "5", "--no-cache",
+                "--restarts", "2", "--seed", "5", "--no-cache",
             ]
         )
         out = capsys.readouterr().out
@@ -99,7 +125,7 @@ class TestPortfolioSynthesis:
         rc = main(
             [
                 "synthesize", "--benchmark", "cg", "--nodes", "8",
-                "--portfolio", "2", "--max-degree", "2", "--no-cache",
+                "--restarts", "2", "--max-degree", "2", "--no-cache",
             ]
         )
         assert rc == 1
@@ -122,7 +148,7 @@ class TestInfeasibleSynthesis:
         rc = main(
             [
                 "synthesize", "--benchmark", "cg", "--nodes", "8",
-                "--max-degree", "2", "--restarts", "2",
+                "--max-degree", "2", "--restarts", "2", "--no-cache",
             ]
         )
         assert rc == 1
@@ -134,7 +160,7 @@ class TestResilienceCommand:
         rc = main(
             [
                 "resilience", "--benchmark", "cg", "--nodes", "8",
-                "--topologies", "generated",
+                "--topologies", "generated", "--no-cache",
             ]
         )
         out = capsys.readouterr().out
@@ -145,7 +171,7 @@ class TestResilienceCommand:
 
     def test_unknown_topology_reports_error(self, capsys):
         rc = main(
-            ["resilience", "--benchmark", "cg", "--topologies", "blimp"]
+            ["resilience", "--benchmark", "cg", "--topologies", "blimp", "--no-cache"]
         )
         assert rc == 1
         assert "unknown topology" in capsys.readouterr().err
@@ -359,7 +385,6 @@ class TestCacheCommand:
                 SynthesisCell(
                     label="synth:ok", pattern=benchmark("cg", 8).pattern,
                     seed=0, constraints=DesignConstraints(max_degree=5),
-                    restarts=2,
                 )
             ],
             cache=cache,

@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.model.contention import ContentionEvent
 from repro.model.message import Communication
-from repro.model.pattern import CommunicationPattern
+from repro.model.pattern import CommunicationPattern, last_pattern_memo
 
 Clique = FrozenSet[Communication]
 
@@ -118,13 +118,9 @@ class CliqueAnalysis:
 
     @classmethod
     def of(cls, pattern: CommunicationPattern) -> "CliqueAnalysis":
-        """Run the full clique analysis of Definition 5 on a pattern."""
-        periods = tuple(contention_periods(pattern))
-        return cls(
-            pattern=pattern,
-            periods=periods,
-            max_cliques=maximum_clique_set(p.clique for p in periods),
-        )
+        """Run the full clique analysis of Definition 5 on a pattern
+        (shared while the same pattern object is analyzed again)."""
+        return _analyze(pattern)
 
     @property
     def communications(self) -> FrozenSet[Communication]:
@@ -165,6 +161,16 @@ class CliqueAnalysis:
             for a in clique:
                 out.setdefault(a, set()).update(c for c in clique if c != a)
         return {k: frozenset(v) for k, v in out.items()}
+
+
+@last_pattern_memo
+def _analyze(pattern: CommunicationPattern) -> CliqueAnalysis:
+    periods = tuple(contention_periods(pattern))
+    return CliqueAnalysis(
+        pattern=pattern,
+        periods=periods,
+        max_cliques=maximum_clique_set(p.clique for p in periods),
+    )
 
 
 def permutation_violations(cliques: Iterable[Clique]) -> List[Tuple[Clique, str]]:

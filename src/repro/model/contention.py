@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Tuple
 
 from repro.model.message import Communication, Message
-from repro.model.pattern import CommunicationPattern
+from repro.model.pattern import CommunicationPattern, last_pattern_memo
 
 
 @dataclass(frozen=True, order=True)
@@ -66,6 +66,7 @@ def overlap_pairs(pattern: CommunicationPattern) -> Iterator[Tuple[Message, Mess
         active.append(m)
 
 
+@last_pattern_memo
 def potential_contention_set(pattern: CommunicationPattern) -> FrozenSet[ContentionEvent]:
     """The potential communication contention set ``C`` (Definition 4).
 

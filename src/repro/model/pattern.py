@@ -7,8 +7,9 @@ processors of the system the application maps onto.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import PatternError
 from repro.model.message import Communication, Message
@@ -141,3 +142,33 @@ class CommunicationPattern:
     def sorted_by_start(self) -> Sequence[Message]:
         """Messages ordered by start time (finish time as tie-break)."""
         return sorted(self.messages, key=lambda m: (m.t_start, m.t_finish, m.source, m.dest))
+
+
+T = TypeVar("T")
+
+
+def last_pattern_memo(
+    fn: Callable[["CommunicationPattern"], T],
+) -> Callable[["CommunicationPattern"], T]:
+    """Keep ``fn``'s result for the last pattern object it was called on.
+
+    For pure, pattern-only analyses whose result is immutable: the
+    seeds of one synthesis portfolio and the rehydrated winner all pass
+    the same pattern object, so they share one analysis instead of
+    repeating it per seed.  The hit test is object identity (a
+    structural hash of thousands of messages would cost more than it
+    saves), and only one entry is kept, so the memo never grows.
+    """
+    last: Optional[Tuple["CommunicationPattern", T]] = None
+
+    @functools.wraps(fn)
+    def memoized(pattern: "CommunicationPattern") -> T:
+        nonlocal last
+        hit = last
+        if hit is not None and hit[0] is pattern:
+            return hit[1]
+        result = fn(pattern)
+        last = (pattern, result)
+        return result
+
+    return memoized

@@ -355,10 +355,13 @@ def canonical_spec(spec: str) -> str:
 def size_violation(spec: str, n: int) -> Optional[str]:
     """Why ``spec`` cannot run on ``n`` nodes, or ``None`` if it can.
 
-    The message names the spec, ``n`` and the nearest valid sizes; it is
-    the same text :func:`resolve_pattern` and the primitives raise.
+    The message names the spec, ``n`` and the nearest valid sizes (for
+    a hotspot, the node outside ``range(0, n)``); it is the same text
+    :func:`resolve_pattern` and the primitives raise.
     """
-    name, _ = _parse_spec(spec)
+    name, params = _parse_spec(spec)
+    if name == "hotspot":
+        return _hotspot_violation(params, n)
     requirement = _REGISTRY[name].requires
     if requirement is None:
         return None
@@ -391,11 +394,9 @@ def resolve_pattern(
         _require(name, entry.requires, n)
     pattern = entry.factory(params, topology)
     if name == "hotspot" and n is not None:
-        node, _ = _hotspot_params(params)
-        if not 0 <= node < n:
-            raise SimulationError(
-                f"hotspot node {node} outside range(0, {n})"
-            )
+        violation = _hotspot_violation(params, n)
+        if violation is not None:
+            raise SimulationError(violation)
     return pattern
 
 
@@ -430,6 +431,13 @@ def _hotspot_params(params: Tuple[str, ...]) -> Tuple[int, float]:
     if node < 0:
         raise SimulationError(f"hotspot node must be non-negative, got {node}")
     return node, bias
+
+
+def _hotspot_violation(params: Tuple[str, ...], n: int) -> Optional[str]:
+    node, _ = _hotspot_params(params)
+    if not 0 <= node < n:
+        return f"hotspot node {node} outside range(0, {n})"
+    return None
 
 
 def _simple(pattern: DestinationPattern):

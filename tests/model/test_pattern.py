@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import PatternError
 from repro.model import Communication, CommunicationPattern, Message
+from repro.model.cliques import CliqueAnalysis
+from repro.model.contention import potential_contention_set
+from repro.model.pattern import last_pattern_memo
 
 from tests.fixtures import figure1_pattern
 
@@ -113,3 +116,29 @@ class TestFigure1Fixture:
         assert len(by_tag["phase0"]) == 16
         assert len(by_tag["phase1"]) == 16
         assert len(by_tag["phase2"]) == 12
+
+
+class TestLastPatternMemo:
+    def test_same_object_hits_and_other_objects_recompute(self):
+        calls = []
+
+        @last_pattern_memo
+        def analyze(pattern):
+            calls.append(pattern)
+            return len(pattern)
+
+        a = figure1_pattern()
+        b = figure1_pattern()  # equal, but a different object
+        assert a == b and a is not b
+        assert [analyze(a), analyze(a), analyze(b), analyze(a)] == [len(a)] * 4
+        # Identity hits only, and only the last pattern is kept.
+        assert [p is a for p in calls] == [True, False, True]
+
+    def test_memoized_analyses_match_fresh_ones(self):
+        a = figure1_pattern()
+        b = figure1_pattern()
+        assert CliqueAnalysis.of(a) is CliqueAnalysis.of(a)
+        assert CliqueAnalysis.of(b) == CliqueAnalysis.of(a)
+        assert CliqueAnalysis.of(b).pattern is b
+        assert potential_contention_set(a) is potential_contention_set(a)
+        assert potential_contention_set(b) == potential_contention_set(a)

@@ -180,6 +180,13 @@ class TestSizeRequirements:
     def test_size_violation_none_when_runnable(self, spec, n):
         assert size_violation(spec, n) is None
 
+    @pytest.mark.parametrize("spec,n", [("hotspot:8", 8), ("hotspot:100:0.2", 16)])
+    def test_size_violation_names_an_out_of_range_hotspot(self, spec, n):
+        with pytest.raises(SimulationError) as excinfo:
+            resolve_pattern(spec, n=n)
+        assert str(excinfo.value) == size_violation(spec, n)
+        assert f"outside range(0, {n})" in str(excinfo.value)
+
     def test_size_violation_rejects_unknown_spec(self):
         with pytest.raises(SimulationError, match="unknown pattern"):
             size_violation("wormhole", 8)
